@@ -18,6 +18,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -120,9 +121,9 @@ std::vector<int64_t> SelfTimes(const std::vector<snowprune::TraceSpan>& spans) {
   return self;
 }
 
-/// Measured queries a run holds at least, so that ten or more lie beyond
-/// p99 even when the machine is slow; the clock alone ends a run otherwise.
-constexpr int64_t kMinQueries = 1100;
+/// Queries a p99 window holds at least, so that ten or more lie beyond each
+/// window's p99. A window is a run of whole rounds.
+constexpr size_t kWindowQueries = 1000;
 
 int64_t JitCounter(const char* name) {
   return snowprune::MetricsRegistry::Instance().GetCounter(name)->Value();
@@ -168,7 +169,7 @@ class Bench {
   void MeasureLayers(const Query& q, const Expected& e);
   void AddTrace(const snowprune::Trace& trace, double latency_ms);
 
-  int RunPool(Workload w, size_t shards, size_t warmup);
+  int RunPool(Workload w, size_t shards);
   /// The read-only workloads' write stream: a few partition appends to a
   /// side table no query reads, then CREATE OR REPLACE of that table.
   void SideWrites(const TableData& source);
@@ -178,6 +179,10 @@ class Bench {
   void StartMeasuring();
   /// Closes a round that began with the meters at these values.
   void EndRound(int64_t busy0, int64_t cpu0, int64_t queries0);
+  /// True once the run may end: its time is up and it holds a p99 window.
+  bool Done(int64_t deadline) const {
+    return NowNs() >= deadline && !window_p99_.empty();
+  }
   int Report();
 
   const Options opt_;
@@ -192,10 +197,11 @@ class Bench {
   std::vector<double> latency_ms_;
   std::vector<double> write_ms_;
   int64_t busy_ns_ = 0, cpu_ns_ = 0, queries_ = 0, loads_ = 0;
-  /// Throughput and CPU per query of each round; their medians are the
-  /// reported figures, so a slow spell of the machine within a run moves
-  /// them less than an overall average.
-  std::vector<double> round_qps_, round_cpu_ms_;
+  /// Throughput, CPU per query and p50 latency of each round, and p99 of
+  /// each window; their medians are the reported figures, so a slow spell
+  /// of the machine within a run moves them less than a pooled figure.
+  std::vector<double> round_qps_, round_cpu_ms_, round_p50_, window_p99_;
+  size_t window_start_ = 0;  // index into latency_ms_ of the open window
   int64_t attempted_ = 0, failed_ = 0;
   bool correct_ = true;
   int errors_printed_ = 0;
@@ -354,7 +360,7 @@ void Bench::MeasureLayers(const Query& q, const Expected& e) {
   }
 }
 
-int Bench::RunPool(Workload w, size_t shards, size_t warmup) {
+int Bench::RunPool(Workload w, size_t shards) {
   for (const TableData& t : w.tables) Load(t);
   std::vector<Expected> expected;
   for (const Query& q : w.pool) {
@@ -362,8 +368,12 @@ int Bench::RunPool(Workload w, size_t shards, size_t warmup) {
                                        q.kind == QKind::kJoin ? w.Find(q.build_table) : nullptr));
   }
   StartService(shards, nullptr);
-  // Warm-up: shard maps and first compiles; only the service calls count.
-  for (size_t i = 0; i < std::min(warmup, w.pool.size()); ++i) {
+  // Warm-up: the first query of each class on each table, so every shard
+  // map is built and every plan shape compiled once; only the service calls
+  // count.
+  std::set<std::pair<std::string, std::string>> warmed;
+  for (size_t i = 0; i < w.pool.size(); ++i) {
+    if (!warmed.insert({w.pool[i].cls, w.pool[i].table}).second) continue;
     Outcome o = RunSolo(w.pool[i]);
     setup_ns_ += static_cast<int64_t>(o.latency_ms * 1e6);
     if (!o.ok || !Verify(w.pool[i], expected[i], *w.Find(w.pool[i].table), o.result, "warm-up")) {
@@ -404,7 +414,7 @@ int Bench::RunPool(Workload w, size_t shards, size_t warmup) {
     }
     EndRound(busy0, cpu_round0, queries0);
     SideWrites(w.tables[0]);
-  } while (NowNs() < deadline || queries_ < kMinQueries);
+  } while (!Done(deadline));
   return Report();
 }
 
@@ -606,7 +616,7 @@ int Bench::RunDashboard() {
     }
     ProbeRound();
     ++round;
-  } while (NowNs() < deadline || queries_ < kMinQueries);
+  } while (!Done(deadline));
   return Report();
 }
 
@@ -670,6 +680,13 @@ void Bench::EndRound(int64_t busy0, int64_t cpu0, int64_t queries0) {
   if (n == 0 || busy_ns_ == busy0) return;
   round_qps_.push_back(n / (static_cast<double>(busy_ns_ - busy0) / 1e9));
   round_cpu_ms_.push_back(Ms(cpu_ns_ - cpu0) / n);
+  const auto first = latency_ms_.begin();
+  round_p50_.push_back(Percentile({first + queries0, latency_ms_.end()}, 50));
+  if (latency_ms_.size() - window_start_ >= kWindowQueries) {
+    window_p99_.push_back(
+        Percentile({first + static_cast<std::ptrdiff_t>(window_start_), latency_ms_.end()}, 99));
+    window_start_ = latency_ms_.size();
+  }
 }
 
 void PrintMetric(std::string* out, const char* name, double value, const char* unit) {
@@ -690,8 +707,8 @@ int Bench::Report() {
   if (!opt_.trace) {
     PrintMetric(&m, "setup_s", static_cast<double>(setup_ns_) / 1e9, "s");
     PrintMetric(&m, "qps", Percentile(round_qps_, 50), "1/s");
-    PrintMetric(&m, "latency_p50_ms", Percentile(latency_ms_, 50), "ms");
-    PrintMetric(&m, "latency_p99_ms", Percentile(latency_ms_, 99), "ms");
+    PrintMetric(&m, "latency_p50_ms", Percentile(round_p50_, 50), "ms");
+    PrintMetric(&m, "latency_p99_ms", Percentile(window_p99_, 50), "ms");
     PrintMetric(&m, "cpu_ms_per_query", Percentile(round_cpu_ms_, 50), "ms");
     PrintMetric(&m, "partitions_loaded_per_query", static_cast<double>(loads_) / q, "count");
     PrintMetric(&m, "write_p50_ms", Percentile(write_ms_, 50), "ms");
@@ -744,21 +761,21 @@ int Bench::Report() {
   }
   std::fprintf(stderr,
                "%s seed=%llu: %lld queries, %lld attempted, %lld failed, correct=%s, "
-               "p99 has %lld samples beyond it, wall %.1f s\n",
+               "%zu rounds, %zu p99 windows, wall %.1f s\n",
                opt_.workload.c_str(), static_cast<unsigned long long>(opt_.seed),
                static_cast<long long>(queries_), static_cast<long long>(attempted_),
                static_cast<long long>(failed_), correct_ ? "true" : "false",
-               static_cast<long long>(queries_ / 100), Ms(NowNs() - start_ns_) / 1e3);
+               round_qps_.size(), window_p99_.size(), Ms(NowNs() - start_ns_) / 1e3);
   std::printf("{\"correct\": %s, \"attempted\": %lld, \"failed\": %lld, \"metrics\": {%s}}\n",
               correct_ ? "true" : "false", static_cast<long long>(attempted_),
               static_cast<long long>(failed_), m.c_str());
   std::fflush(stdout);
-  return 0;
+  return correct_ ? 0 : 1;
 }
 
 int Bench::Run() {
-  if (opt_.workload == "selective_mix") return RunPool(MakeSelectiveMix(opt_.seed), 2, 64);
-  if (opt_.workload == "scan_heavy") return RunPool(MakeScanHeavy(opt_.seed), 1, 16);
+  if (opt_.workload == "selective_mix") return RunPool(MakeSelectiveMix(opt_.seed), 2);
+  if (opt_.workload == "scan_heavy") return RunPool(MakeScanHeavy(opt_.seed), 1);
   if (opt_.workload == "dashboard_dml") return RunDashboard();
   std::fprintf(stderr, "unknown workload '%s'\n", opt_.workload.c_str());
   return 2;
